@@ -2,7 +2,7 @@
 
 use bench::bench;
 use hybrid_core::{run_job, Architecture};
-use simcore::{EventQueue, FlowId, FlowNetwork, PsResource, SimTime};
+use simcore::{EventQueue, FlowId, FlowNetwork, SimTime};
 use workload::apps;
 
 const GB: u64 = 1 << 30;
@@ -19,21 +19,6 @@ fn bench_event_queue() {
             acc = acc.wrapping_add(e);
         }
         acc
-    });
-}
-
-fn bench_ps_resource() {
-    bench("ps_resource/churn_1k_flows", 20, || {
-        let mut r = PsResource::new("disk", 1e8);
-        let mut now = SimTime::ZERO;
-        for i in 0..1_000u64 {
-            r.add_flow(now, FlowId(i), 1e6 + (i as f64 % 7.0) * 1e5);
-            if let Some(t) = r.next_completion_time(now) {
-                now = t;
-                r.poll_completions(now);
-            }
-        }
-        r.bytes_served()
     });
 }
 
@@ -100,7 +85,6 @@ fn bench_single_jobs() {
 
 fn main() {
     bench_event_queue();
-    bench_ps_resource();
     bench_flow_network();
     bench_single_jobs();
 }

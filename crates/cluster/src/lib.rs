@@ -1,7 +1,7 @@
 //! # cluster — hardware models for the hybrid scale-up/out testbed
 //!
 //! Declares machines (cores, RAM, disks, NICs, RAM disks), wires their
-//! devices into a [`simcore::ResourcePool`], and carries the two pieces of
+//! devices into a [`simcore::FlowNetwork`], and carries the two pieces of
 //! deployment-level physics the paper's measurements depend on:
 //!
 //! - the **interconnect fabric** ([`fabric::FabricSpec`]): per-hop and

@@ -27,7 +27,6 @@ pub use runner::{
 };
 pub use trace::{
     quantile_stats, run_trace, run_trace_adaptive_roundtrip_streaming_with,
-    run_trace_adaptive_streaming_with, run_trace_adaptive_with, run_trace_replicated,
-    run_trace_replicated_with, run_trace_streaming_with, run_trace_tenants_with, run_trace_with,
-    TenantAttribution, TenantOutcome, TraceOutcome,
+    run_trace_adaptive_streaming_with, run_trace_adaptive_with, run_trace_streaming_with,
+    run_trace_tenants_with, run_trace_with, TenantAttribution, TenantOutcome, TraceOutcome,
 };

@@ -745,36 +745,6 @@ fn finish_replay(
     }
 }
 
-/// Replay the same configuration under several trace seeds in parallel —
-/// the statistical-rigor upgrade over the paper's single replay. Each seed
-/// produces an independent synthetic day of the workload.
-pub fn run_trace_replicated(
-    arch: Architecture,
-    policy: &(dyn JobPlacement + Sync),
-    base: &workload::FacebookTraceConfig,
-    seeds: &[u64],
-) -> Vec<TraceOutcome> {
-    run_trace_replicated_with(arch, policy, base, seeds, &DeploymentTuning::default())
-}
-
-/// [`run_trace_replicated`] with explicit tuning.
-pub fn run_trace_replicated_with(
-    arch: Architecture,
-    policy: &(dyn JobPlacement + Sync),
-    base: &workload::FacebookTraceConfig,
-    seeds: &[u64],
-    tuning: &DeploymentTuning,
-) -> Vec<TraceOutcome> {
-    parsweep::par_map(seeds.to_vec(), |seed| {
-        let cfg = workload::FacebookTraceConfig {
-            seed,
-            ..base.clone()
-        };
-        let trace = workload::generate_facebook_trace(&cfg);
-        run_trace_with(arch, policy, &trace, tuning)
-    })
-}
-
 /// Summarize one quantile of a class across replicated outcomes.
 pub fn quantile_stats(
     outcomes: &[TraceOutcome],

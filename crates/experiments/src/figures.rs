@@ -266,28 +266,75 @@ fn class_cdf_table(label: &str, cdfs: &[(String, EmpiricalCdf)]) -> String {
     )
 }
 
+/// What Figure 10 keeps of one replay.
+struct Fig10Cell {
+    up: EmpiricalCdf,
+    out: EmpiricalCdf,
+    failed: usize,
+}
+
 /// Figure 10: trace-driven comparison of Hybrid vs THadoop vs RHadoop.
+///
+/// One `parsweep` fan-out replays every (architecture, trace seed) cell:
+/// the default trace's seed, then four more seeds for the robustness table
+/// (c), a rigor upgrade over the paper's single replay. The summary and
+/// the CDF tables (a) and (b) read the default-seed cells.
 pub fn fig10() -> String {
-    let trace = generate_facebook_trace(&FacebookTraceConfig::default());
-    let mut up_cdfs = Vec::new();
-    let mut out_cdfs = Vec::new();
-    let mut summary = Vec::new();
-    for arch in Architecture::TRACE_CONTENDERS {
+    let base = FacebookTraceConfig::default();
+    let seeds = [base.seed, 1, 2, 3, 4];
+    let cells: Vec<(Architecture, u64)> = Architecture::TRACE_CONTENDERS
+        .iter()
+        .flat_map(|&arch| seeds.map(|seed| (arch, seed)))
+        .collect();
+    let replays = parsweep::par_map(cells, |(arch, seed)| {
+        let trace = generate_facebook_trace(&FacebookTraceConfig {
+            seed,
+            ..base.clone()
+        });
         let policy: Box<dyn JobPlacement> = match arch {
             Architecture::Hybrid => Box::new(CrossPointScheduler::default()),
             _ => Box::new(AlwaysOut),
         };
         let outcome = run_trace(arch, policy.as_ref(), &trace);
+        Fig10Cell {
+            up: outcome.up_cdf(),
+            out: outcome.out_cdf(),
+            failed: outcome.failures(),
+        }
+    });
+    let mut up_cdfs = Vec::new();
+    let mut out_cdfs = Vec::new();
+    let mut summary = Vec::new();
+    let mut robustness = Vec::new();
+    for (arch, cells) in Architecture::TRACE_CONTENDERS
+        .iter()
+        .zip(replays.chunks(seeds.len()))
+    {
+        let headline = &cells[0];
         summary.push(vec![
             arch.name().to_string(),
-            outcome.up_class_exec.len().to_string(),
-            outcome.out_class_exec.len().to_string(),
-            outcome.failures().to_string(),
-            fmt_secs(outcome.up_cdf().max().unwrap_or(f64::NAN)),
-            fmt_secs(outcome.out_cdf().max().unwrap_or(f64::NAN)),
+            headline.up.len().to_string(),
+            headline.out.len().to_string(),
+            headline.failed.to_string(),
+            fmt_secs(headline.up.max().unwrap_or(f64::NAN)),
+            fmt_secs(headline.out.max().unwrap_or(f64::NAN)),
         ]);
-        up_cdfs.push((arch.name().to_string(), outcome.up_cdf()));
-        out_cdfs.push((arch.name().to_string(), outcome.out_cdf()));
+        up_cdfs.push((arch.name().to_string(), headline.up.clone()));
+        out_cdfs.push((arch.name().to_string(), headline.out.clone()));
+        // The scale-up class's quantile `q` across the seeds.
+        let across_seeds = |q| {
+            let mut stats = metrics::OnlineStats::new();
+            for v in cells.iter().filter_map(|c| c.up.quantile(q)) {
+                stats.push(v);
+            }
+            stats
+        };
+        let (p90, max) = (across_seeds(0.90), across_seeds(1.0));
+        robustness.push(vec![
+            arch.name().to_string(),
+            format!("{:.1} ± {:.1}", p90.mean(), p90.stddev()),
+            format!("{:.1} ± {:.1}", max.mean(), max.stddev()),
+        ]);
     }
     let mut out = String::from("## Figure 10 — FB-2009 trace replay (6000 jobs)\n\n");
     out += &metrics::table::render(
@@ -304,38 +351,15 @@ pub fn fig10() -> String {
     out.push('\n');
     out += &class_cdf_table("(a) execution-time CDF of scale-up jobs", &up_cdfs);
     out += &class_cdf_table("(b) execution-time CDF of scale-out jobs", &out_cdfs);
-    out += &fig10_replication();
-    out
-}
-
-/// Seed-replication of the Figure 10 headline (a rigor upgrade over the
-/// paper's single replay): the up-class p90 across independent synthetic
-/// workload days.
-fn fig10_replication() -> String {
-    let seeds = [2009u64, 1, 2, 3, 4];
-    let base = FacebookTraceConfig::default();
-    let mut rows = Vec::new();
-    for arch in Architecture::TRACE_CONTENDERS {
-        let crosspoint = CrossPointScheduler::default();
-        let always_out = AlwaysOut;
-        let policy: &(dyn JobPlacement + Sync) = match arch {
-            Architecture::Hybrid => &crosspoint,
-            _ => &always_out,
-        };
-        let outcomes = hybrid_core::run_trace_replicated(arch, policy, &base, &seeds);
-        let p90 = hybrid_core::quantile_stats(&outcomes, true, 0.90);
-        let max = hybrid_core::quantile_stats(&outcomes, true, 1.0);
-        rows.push(vec![
-            arch.name().to_string(),
-            format!("{:.1} ± {:.1}", p90.mean(), p90.stddev()),
-            format!("{:.1} ± {:.1}", max.mean(), max.stddev()),
-        ]);
-    }
-    format!(
+    out += &format!(
         "### (c) robustness across {} trace seeds (scale-up class, seconds)\n\n{}\n",
         seeds.len(),
-        metrics::table::render(&["architecture", "p90 mean ± sd", "max mean ± sd"], &rows)
-    )
+        metrics::table::render(
+            &["architecture", "p90 mean ± sd", "max mean ± sd"],
+            &robustness
+        )
+    );
+    out
 }
 
 /// Table I: the architecture matrix, with the resolved configurations and

@@ -6,10 +6,10 @@
 //!    sequence number is assigned at push time, so ties at the same instant
 //!    pop in insertion order (FIFO). A simulation run is then a pure function
 //!    of its inputs.
-//! 2. **Cheap cancellation.** Processor-sharing resources reschedule their
-//!    completion events every time a flow joins or leaves. Instead of
-//!    removing entries from the heap, callers stamp events with a
-//!    *generation* and ignore stale pops (see [`crate::ps`]).
+//! 2. **Cheap cancellation.** The flow network reschedules its completion
+//!    event every time a flow joins or leaves. Instead of removing entries
+//!    from the heap, callers stamp events with a *generation* and ignore
+//!    stale pops (see [`crate::flownet`]).
 
 use crate::time::SimTime;
 use std::cmp::Reverse;

@@ -1,14 +1,14 @@
 //! # simcore — deterministic discrete-event simulation engine
 //!
 //! The foundation of the hybrid scale-up/out Hadoop reproduction: a minimal,
-//! fully deterministic discrete-event kernel plus the fluid
-//! processor-sharing resource model that every hardware component (disk, RAM
-//! disk, NIC, remote storage server) is built from.
+//! fully deterministic discrete-event kernel plus the fluid flow network in
+//! which every hardware component (disk, RAM disk, NIC, remote storage
+//! server) is a fair-shared resource.
 //!
 //! Layers above this crate:
 //! - `cluster` declares machines and wires their devices into a
-//!   [`ResourcePool`];
-//! - `storage` turns file reads/writes into sequences of PS flows
+//!   [`FlowNetwork`];
+//! - `storage` turns file reads/writes into sequences of flows
 //!   (`IoPlan`s);
 //! - `mapreduce` owns the [`EventQueue`] at run time and drives tasks
 //!   through slots and flows.
@@ -26,8 +26,6 @@ pub mod dist;
 pub mod event;
 pub mod fault;
 pub mod flownet;
-pub mod ps;
-pub mod registry;
 pub mod rng;
 pub mod time;
 
@@ -35,8 +33,6 @@ pub use event::{EventQueue, QueuedEvent};
 pub use fault::{
     FaultPlan, FaultRates, NodeFault, NodeFaultKind, RackStormRates, ServerFault, ServerFaultKind,
 };
-pub use flownet::{FlowLogEntry, FlowNetwork, NetResourceId};
-pub use ps::{FlowId, Generation, PsResource};
-pub use registry::{ResourceId, ResourcePool};
+pub use flownet::{FlowId, FlowLogEntry, FlowNetwork, Generation, NetResourceId};
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime, TICKS_PER_SEC};

@@ -6,7 +6,7 @@
 
 use simcore::dist::PiecewiseLogCdf;
 use simcore::rng::{substream, DetRng};
-use simcore::{EventQueue, FlowId, FlowNetwork, PsResource, SimTime};
+use simcore::{EventQueue, FlowId, FlowNetwork, SimTime};
 
 const CASES: usize = 64;
 
@@ -42,100 +42,6 @@ fn event_queue_is_time_ordered() {
             last = (t, idx);
         }
         assert!(q.is_empty());
-    }
-}
-
-/// Work conservation: however flows arrive, a PS resource eventually serves
-/// exactly the bytes injected, and with simultaneous arrivals it finishes
-/// exactly at the capacity bound.
-#[test]
-fn ps_resource_conserves_work() {
-    let mut rng = substream(0xE0, 1);
-    for case in 0..CASES {
-        let sizes = vec_of(&mut rng, 1, 40, |r| r.range_f64(1.0, 1e8));
-        let capacity = 1e6; // 1 MB/s
-        let mut r = PsResource::new("disk", capacity);
-        for (i, &s) in sizes.iter().enumerate() {
-            r.add_flow(SimTime::ZERO, FlowId(i as u64), s);
-        }
-        let mut now = SimTime::ZERO;
-        let mut completed = 0usize;
-        let mut guard = 0;
-        while let Some(t) = r.next_completion_time(now) {
-            now = t;
-            completed += r.poll_completions(now).len();
-            guard += 1;
-            assert!(
-                guard < 10_000,
-                "case {case}: completion loop did not converge"
-            );
-        }
-        assert_eq!(completed, sizes.len(), "case {case}");
-        let total: f64 = sizes.iter().sum();
-        // Served everything (within per-completion sub-byte rounding).
-        assert!(
-            (r.bytes_served() - total).abs() < sizes.len() as f64 + 1.0,
-            "case {case}"
-        );
-        // Finished no earlier than the capacity bound allows, and PS with
-        // simultaneous arrivals finishes exactly at the bound.
-        let lower = total / capacity;
-        assert!(now.as_secs_f64() + 1e-3 >= lower, "case {case}");
-        assert!(
-            (now.as_secs_f64() - lower).abs() < 0.01 * lower + 1e-2,
-            "case {case}"
-        );
-    }
-}
-
-/// Staggered arrivals keep the accounting exact too.
-#[test]
-fn ps_staggered_arrivals_respect_capacity() {
-    let mut rng = substream(0xE0, 2);
-    for case in 0..CASES {
-        let flows = vec_of(&mut rng, 1, 30, |r| {
-            (r.range_usize(0, 10_000_000) as u64, r.range_f64(1.0, 1e7))
-        });
-        let capacity = 5e5;
-        let mut r = PsResource::new("nic", capacity);
-        let mut arrivals: Vec<(SimTime, f64)> =
-            flows.iter().map(|&(t, b)| (SimTime(t), b)).collect();
-        arrivals.sort_by_key(|&(t, _)| t);
-        let mut now = SimTime::ZERO;
-        let mut next_flow = 0usize;
-        let mut done = 0usize;
-        let mut guard = 0;
-        loop {
-            guard += 1;
-            assert!(guard < 20_000, "case {case}");
-            let next_completion = r.next_completion_time(now);
-            let next_arrival = arrivals.get(next_flow).map(|&(t, _)| t.max(now));
-            match (next_completion, next_arrival) {
-                (None, None) => break,
-                (Some(tc), None) => {
-                    now = tc;
-                    done += r.poll_completions(now).len();
-                }
-                (ca, Some(ta)) => match ca {
-                    Some(tc) if ta > tc => {
-                        now = tc;
-                        done += r.poll_completions(now).len();
-                    }
-                    _ => {
-                        now = ta;
-                        let (_, bytes) = arrivals[next_flow];
-                        r.add_flow(now, FlowId(next_flow as u64), bytes);
-                        next_flow += 1;
-                    }
-                },
-            }
-        }
-        assert_eq!(done, arrivals.len(), "case {case}");
-        let total: f64 = arrivals.iter().map(|&(_, b)| b).sum();
-        assert!(
-            (r.bytes_served() - total).abs() < arrivals.len() as f64 + 1.0,
-            "case {case}"
-        );
     }
 }
 

@@ -1,13 +1,13 @@
 //! Golden fingerprints for at-scale trace replay.
 //!
-//! The indexed dispatch structures (`TaskQueue`, `FlowNetwork`,
-//! `PsResource`) and the streaming trace generator promise *byte-identical*
-//! replays, not merely statistically similar ones. These tests pin an
-//! FNV-1a fingerprint of everything an outcome exposes — per-job results,
-//! class execution times at full f64 precision, the makespan, and (for the
-//! observed run) the Chrome trace export — so any optimization that
-//! perturbs event order, f64 accumulation order, or tie-breaking shows up
-//! as a changed constant, not as a silent drift.
+//! The indexed dispatch structures (`TaskQueue`, `FlowNetwork`) and the
+//! streaming trace generator promise *byte-identical* replays, not merely
+//! statistically similar ones. These tests pin an FNV-1a fingerprint of
+//! everything an outcome exposes — per-job results, class execution times
+//! at full f64 precision, the makespan, and (for the observed run) the
+//! Chrome trace export — so any optimization that perturbs event order, f64
+//! accumulation order, or tie-breaking shows up as a changed constant, not
+//! as a silent drift.
 //!
 //! If a fingerprint changes *intentionally* (a semantic change to the
 //! engine), regenerate the constants with the replay below and say why in

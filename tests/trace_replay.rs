@@ -143,12 +143,18 @@ fn hybrid_up_class_win_is_seed_robust() {
         window: SimDuration::from_secs(1250),
         ..Default::default()
     };
-    let crosspoint = CrossPointScheduler::default();
-    let always_out = AlwaysOut;
-    let hybrid =
-        hybrid_core::run_trace_replicated(Architecture::Hybrid, &crosspoint, &base, &[1, 2, 3]);
-    let thadoop =
-        hybrid_core::run_trace_replicated(Architecture::THadoop, &always_out, &base, &[1, 2, 3]);
+    // Each seed is an independent synthetic day of the workload.
+    let replicate = |arch: Architecture, policy: &(dyn JobPlacement + Sync)| {
+        parsweep::par_map(vec![1u64, 2, 3], |seed| {
+            let trace = generate_facebook_trace(&FacebookTraceConfig {
+                seed,
+                ..base.clone()
+            });
+            run_trace(arch, policy, &trace)
+        })
+    };
+    let hybrid = replicate(Architecture::Hybrid, &CrossPointScheduler::default());
+    let thadoop = replicate(Architecture::THadoop, &AlwaysOut);
     let h = hybrid_core::quantile_stats(&hybrid, true, 0.9);
     let t = hybrid_core::quantile_stats(&thadoop, true, 0.9);
     assert_eq!(h.count(), 3);
